@@ -1,9 +1,12 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
-// primitives: histogram construction, reservoir sampling (including the
-// skip-ahead path for huge runs), m-Oracle lookups, join-cardinality
-// estimation, one full Sweep scan, and the schedule solvers.
+// primitives: histogram construction, reservoir sampling (per element,
+// Sweep-shaped rows of 1 and 8-20 copies, and huge runs), m-Oracle
+// lookups, join-cardinality estimation, one full Sweep scan, and the
+// schedule solvers.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "common/logging.h"
 #include "datagen/distributions.h"
@@ -81,6 +84,38 @@ void BM_ReservoirAddRepeatedHuge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReservoirAddRepeatedHuge);
+
+// Sweep-shaped streams: one AddRepeated per scanned row into a 2,000-slot
+// reservoir over 20,000 rows (rows / capacity = 10). Dense rows carry one
+// copy each (the serve_mixed BUILD profile); mid rows carry 8-20 copies.
+// Together they place ReservoirSampler::kAlgorithmRFactor: the longer
+// Algorithm R runs, the more per-element draws dense streams pay; the
+// shorter, the more log/pow replacements at replacement rates near 1.
+void ReservoirRows(benchmark::State& state, uint64_t min_copies,
+                   uint64_t max_copies) {
+  const size_t kRows = 20'000;
+  Rng copies_rng(5);
+  std::vector<uint64_t> copies(kRows);
+  for (uint64_t& c : copies) {
+    c = static_cast<uint64_t>(copies_rng.UniformInt(
+        static_cast<int64_t>(min_copies), static_cast<int64_t>(max_copies)));
+  }
+  Rng rng(3);
+  for (auto _ : state) {
+    ReservoirSampler sampler(2'000, &rng);
+    for (size_t r = 0; r < kRows; ++r) {
+      sampler.AddRepeated(static_cast<double>(r), copies[r]);
+    }
+    benchmark::DoNotOptimize(sampler.sample());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+
+void BM_ReservoirDense(benchmark::State& state) { ReservoirRows(state, 1, 1); }
+BENCHMARK(BM_ReservoirDense);
+
+void BM_ReservoirMid(benchmark::State& state) { ReservoirRows(state, 8, 20); }
+BENCHMARK(BM_ReservoirMid);
 
 void BM_MOracleLookup(benchmark::State& state) {
   std::vector<double> r = ZipfValues(100'000, 1.0, 10'000);

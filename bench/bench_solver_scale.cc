@@ -21,6 +21,11 @@
 // Opt on an instance both solved — so CI can run it as a smoke test
 // (--quick trims the sweep for that).
 //
+// Each row averages costs over matched instances only: Exact against
+// Greedy on the instances Exact solved, Exact against Opt on the instances
+// both solved (`opt_matched`). Averaging each solver over the instances it
+// happened to finish would compare different instance sets.
+//
 // Expected shape: in sweeps 1 and 2 Exact's nodes stay flat (the reduced
 // core does not grow with numSITs; reduction ratio near 1) while Opt's
 // nodes/time grow until it exhausts; Exact's cost always matches Opt
@@ -29,6 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,19 +51,17 @@ namespace {
 
 bool g_check_failed = false;
 
+/// Time and search effort of one solver, over the runs it finished.
 struct SolverCell {
-  double total_cost = 0.0;
   double total_seconds = 0.0;
   double total_nodes = 0.0;
   int solved = 0;
 
   void Add(const SolverResult& r) {
-    total_cost += r.schedule.cost;
     total_seconds += r.optimization_seconds;
     total_nodes += static_cast<double>(r.nodes_expanded);
     solved += 1;
   }
-  double AvgCost() const { return solved > 0 ? total_cost / solved : 0.0; }
   double AvgMillis() const {
     return solved > 0 ? 1e3 * total_seconds / solved : 0.0;
   }
@@ -66,13 +70,38 @@ struct SolverCell {
   }
 };
 
+/// One instance's schedule costs. Exact and Opt are absent where they
+/// exhausted their node budget.
+struct InstanceCosts {
+  std::optional<double> exact;
+  std::optional<double> opt;
+  double greedy = 0.0;
+  double hybrid = 0.0;
+};
+
 struct SweepRow {
   SolverCell exact, opt, greedy, hybrid;
+  std::vector<InstanceCosts> costs;
   double total_reduction_ratio = 0.0;
   int instances = 0;       // instances where Exact solved
   int exact_proved = 0;    // of those, how many proved optimal
   int opt_exhausted = 0;
 };
+
+/// Mean of `cost` over the instances that `include` admits, so the costs
+/// compared within a row are averaged over the same instances.
+template <typename Cost, typename Include>
+double MeanCost(const std::vector<InstanceCosts>& costs, Cost cost,
+                Include include) {
+  double total = 0.0;
+  int n = 0;
+  for (const InstanceCosts& c : costs) {
+    if (!include(c)) continue;
+    total += cost(c);
+    n += 1;
+  }
+  return n > 0 ? total / n : 0.0;
+}
 
 Result<SolverResult> RunKind(const SchedulingProblem& problem,
                              SolverKind kind, uint64_t max_expansions,
@@ -106,11 +135,17 @@ void RunInstance(const SchedulingProblem& problem, uint64_t node_budget,
       RunKind(problem, SolverKind::kHybrid, 0, hybrid_switch).ValueOrDie();
   row->greedy.Add(greedy);
   row->hybrid.Add(hybrid);
+  InstanceCosts costs;
+  costs.greedy = greedy.schedule.cost;
+  costs.hybrid = hybrid.schedule.cost;
   if (opt.ok()) {
     row->opt.Add(*opt);
+    costs.opt = opt->schedule.cost;
   } else {
     row->opt_exhausted += 1;
   }
+  if (exact.ok()) costs.exact = exact->schedule.cost;
+  row->costs.push_back(costs);
   if (!exact.ok()) return;
   row->instances += 1;
   row->exact.Add(*exact);
@@ -138,27 +173,49 @@ void RunInstance(const SchedulingProblem& problem, uint64_t node_budget,
   }
 }
 
+/// Costs are compared on matched instances only: Exact, Greedy and Hybrid
+/// over the instances Exact finished, Exact and Opt over the instances both
+/// finished (`opt_matched`). Times and nodes average each solver over the
+/// runs it finished.
 void EmitRow(BenchJsonWriter* json, const char* sweep, int num_sits,
              int attempted, const SweepRow& row) {
   double ratio =
       row.instances > 0 ? row.total_reduction_ratio / row.instances : 0.0;
+  auto exact_done = [](const InstanceCosts& c) { return c.exact.has_value(); };
+  auto both_done = [](const InstanceCosts& c) {
+    return c.exact.has_value() && c.opt.has_value();
+  };
+  auto exact_cost = [](const InstanceCosts& c) { return *c.exact; };
+  const double exact_on_exact = MeanCost(row.costs, exact_cost, exact_done);
+  const double greedy_on_exact = MeanCost(
+      row.costs, [](const InstanceCosts& c) { return c.greedy; }, exact_done);
+  const double hybrid_on_exact = MeanCost(
+      row.costs, [](const InstanceCosts& c) { return c.hybrid; }, exact_done);
+  const double exact_on_both = MeanCost(row.costs, exact_cost, both_done);
+  const double opt_on_both = MeanCost(
+      row.costs, [](const InstanceCosts& c) { return *c.opt; }, both_done);
+  int opt_matched = 0;
+  for (const InstanceCosts& c : row.costs) opt_matched += both_done(c);
   std::printf(
-      "%-10s numSITs=%-4d | cost: Exact=%9.0f Opt=%9.0f Greedy=%9.0f | "
+      "%-10s numSITs=%-4d | cost on %d Exact-solved: Exact=%9.0f "
+      "Greedy=%9.0f | on %d both-solved: Exact=%9.0f Opt=%9.0f | "
       "ms: Exact=%7.1f Opt=%8.1f | nodes: Exact=%7.0f Opt=%8.0f | "
       "reduction=%.2f | solved: Exact=%d/%d Opt=%d/%d\n",
-      sweep, num_sits, row.exact.AvgCost(), row.opt.AvgCost(),
-      row.greedy.AvgCost(), row.exact.AvgMillis(), row.opt.AvgMillis(),
-      row.exact.AvgNodes(), row.opt.AvgNodes(), ratio, row.instances,
-      attempted, row.opt.solved, attempted);
+      sweep, num_sits, row.instances, exact_on_exact, greedy_on_exact,
+      opt_matched, exact_on_both, opt_on_both, row.exact.AvgMillis(),
+      row.opt.AvgMillis(), row.exact.AvgNodes(), row.opt.AvgNodes(), ratio,
+      row.instances, attempted, row.opt.solved, attempted);
   json->BeginRow();
   json->Add("sweep", std::string(sweep));
   json->Add("num_sits", static_cast<double>(num_sits));
   json->Add("attempted", static_cast<double>(attempted));
   json->Add("instances", static_cast<double>(row.instances));
-  json->Add("exact_cost", row.exact.AvgCost());
-  json->Add("opt_cost", row.opt.AvgCost());
-  json->Add("greedy_cost", row.greedy.AvgCost());
-  json->Add("hybrid_cost", row.hybrid.AvgCost());
+  json->Add("exact_cost", exact_on_exact);
+  json->Add("greedy_cost", greedy_on_exact);
+  json->Add("hybrid_cost", hybrid_on_exact);
+  json->Add("opt_matched", static_cast<double>(opt_matched));
+  json->Add("exact_cost_opt_matched", exact_on_both);
+  json->Add("opt_cost", opt_on_both);
   json->Add("exact_ms", row.exact.AvgMillis());
   json->Add("opt_ms", row.opt.AvgMillis());
   json->Add("greedy_ms", row.greedy.AvgMillis());

@@ -1,31 +1,12 @@
 #include "sampling/reservoir.h"
 
-#include <math.h>
-
-#include <algorithm>
 #include <cmath>
-#include <cstddef>
+#include <random>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
 
 namespace sitstats {
-
-namespace {
-
-/// Thread-safe log-gamma. glibc's lgamma writes the process-global
-/// `signgam`, so concurrent reservoir samplers (parallel schedule steps)
-/// race through std::lgamma; lgamma_r is the reentrant form.
-double LogGamma(double x) {
-#if defined(__GLIBC__) || defined(__APPLE__)
-  int sign = 0;
-  return lgamma_r(x, &sign);
-#else
-  return std::lgamma(x);
-#endif
-}
-
-}  // namespace
 
 ReservoirSampler::ReservoirSampler(size_t capacity, Rng* rng)
     : capacity_(capacity), rng_(rng) {
@@ -49,130 +30,84 @@ Result<ReservoirSampler> ReservoirSampler::Create(size_t capacity,
   return ReservoirSampler(capacity, rng);
 }
 
-void ReservoirSampler::Add(double value) {
-  ++stream_size_;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(value);
-    return;
+template <typename ValueAt>
+void ReservoirSampler::Offer(uint64_t count, ValueAt value_at) {
+  uint64_t i = 0;
+  // Fill phase: no randomness.
+  for (; i < count && sample_.size() < capacity_; ++i) {
+    sample_.push_back(value_at(i));
   }
-  // Element i (1-based) replaces a random slot with probability k/i.
-  uint64_t pos = static_cast<uint64_t>(
-      rng_->UniformInt(0, static_cast<int64_t>(stream_size_) - 1));
-  if (pos < capacity_) {
-    sample_[static_cast<size_t>(pos)] = value;
+  stream_size_ += i;
+  // Algorithm R: element t replaces slot UniformInt(0, t - 1) when that
+  // names a slot, i.e. with probability capacity / t.
+  for (; i < count && stream_size_ < kAlgorithmRFactor * capacity_; ++i) {
+    ++stream_size_;
+    const auto pos = static_cast<uint64_t>(
+        rng_->UniformInt(0, static_cast<int64_t>(stream_size_) - 1));
+    if (pos < capacity_) sample_[pos] = value_at(i);
   }
+  if (i == count) return;
+  if (w_ == 0.0) BeginAlgorithmL();
+  // Algorithm L: skip_ elements pass untouched, the next one replaces a
+  // uniform slot, and its priority, uniform below w_, lowers w_ to the
+  // largest of capacity uniforms below w_.
+  while (skip_ < count - i) {
+    i += static_cast<uint64_t>(skip_);
+    stream_size_ += skip_ + 1;
+    const auto slot = static_cast<size_t>(
+        rng_->UniformInt(0, static_cast<int64_t>(capacity_) - 1));
+    sample_[slot] = value_at(i);
+    ++i;
+    w_ *= std::exp(std::log(OpenUniform()) / static_cast<double>(capacity_));
+    skip_ = NextSkip();
+  }
+  skip_ -= count - i;
+  stream_size_ += count - i;
 }
 
-void ReservoirSampler::AddBatch(std::span<const double> values) {
-  size_t i = 0;
-  if (sample_.size() < capacity_) {
-    const size_t take = std::min(values.size(), capacity_ - sample_.size());
-    sample_.insert(sample_.end(), values.begin(),
-                   values.begin() + static_cast<ptrdiff_t>(take));
-    stream_size_ += take;
-    i = take;
-  }
-  for (; i < values.size(); ++i) Add(values[i]);
+void ReservoirSampler::Add(double value) {
+  Offer(1, [value](uint64_t) { return value; });
 }
 
 void ReservoirSampler::AddRepeated(double value, uint64_t count) {
-  // Fill phase: plain adds until the reservoir is full.
-  while (count > 0 && sample_.size() < capacity_) {
-    Add(value);
-    --count;
-  }
-  if (count == 0) return;
+  Offer(count, [value](uint64_t) { return value; });
+}
 
-  if (count <= 64) {
-    // Short runs: per-element Bernoulli is cheaper than skip sampling.
-    for (uint64_t j = 0; j < count; ++j) {
-      ++stream_size_;
-      double p = static_cast<double>(capacity_) /
-                 static_cast<double>(stream_size_);
-      if (rng_->Bernoulli(p)) {
-        int64_t slot =
-            rng_->UniformInt(0, static_cast<int64_t>(capacity_) - 1);
-        sample_[static_cast<size_t>(slot)] = value;
-      }
-    }
-    return;
-  }
+void ReservoirSampler::AddBatch(std::span<const double> values) {
+  Offer(values.size(), [values](uint64_t i) { return values[i]; });
+}
 
-  // Long runs (join multiplicities can reach billions): jump directly from
-  // one replacement event to the next. With the reservoir full at stream
-  // position t, the probability that none of the next s elements replaces
-  // a slot is
-  //   Q(s) = prod_{i=t+1}^{t+s} (1 - c/i)
-  //        = exp( lgamma(t+s+1-c) - lgamma(t+1-c)
-  //             - lgamma(t+s+1)   + lgamma(t+1) ),
-  // so the skip length is found by binary-searching the smallest s with
-  // Q(s) < u for u ~ U(0,1). Expected replacements for a run of n elements
-  // are c * ln((t+n)/t), independent of n's magnitude.
-  const double c = static_cast<double>(capacity_);
-  uint64_t remaining = count;
-  while (remaining > 0) {
-    const double t = static_cast<double>(stream_size_);
-    double u = rng_->NextDouble();
-    if (u <= 0.0) u = 1e-300;
-    const double log_u = std::log(u);
+void ReservoirSampler::BeginAlgorithmL() {
+  // Give each of the t elements so far an independent uniform priority:
+  // Algorithm R's sample is distributed as the capacity elements with the
+  // smallest ones, and the capacity-th smallest of t uniforms is
+  // Beta(capacity, t - capacity + 1), independent of which elements they
+  // are. Drawing w_ from it (as X / (X + Y) with X, Y Gamma) continues
+  // the same sampling process exactly.
+  const auto k = static_cast<double>(capacity_);
+  const auto t = static_cast<double>(stream_size_);
+  std::gamma_distribution<double> kth_smallest(k);
+  std::gamma_distribution<double> rest(t - k + 1.0);
+  const double x = kth_smallest(rng_->engine());
+  const double y = rest(rng_->engine());
+  w_ = x / (x + y);
+  skip_ = NextSkip();
+}
 
-    uint64_t next = 0;  // offset (1-based) of the next replacement, 0 = none
-    if (t >= 64.0 * c) {
-      // Large positions: the exact lgamma formula below suffers
-      // catastrophic cancellation (its terms reach ~1e15 while the answer
-      // is O(1)), so invert the continuous approximation
-      //   log Q(s) = -c * ln((t+s-c+.5)/(t-c+.5))        (error O(c/t))
-      // in closed form.
-      double base = t - c + 0.5;
-      double s_real = base * std::expm1(-log_u / c);
-      if (s_real >= static_cast<double>(remaining)) {
-        next = 0;
-      } else {
-        next = static_cast<uint64_t>(std::floor(s_real)) + 1;
-        if (next > remaining) next = 0;
-      }
-    } else {
-      // Small positions: exact inversion of
-      //   Q(s) = prod_{i=t+1}^{t+s} (1 - c/i)
-      //        = exp(lg(t+s+1-c) - lg(t+1-c) - lg(t+s+1) + lg(t+1)).
-      auto log_q = [&](uint64_t s) {
-        double sd = static_cast<double>(s);
-        return LogGamma(t + sd + 1.0 - c) - LogGamma(t + 1.0 - c) -
-               LogGamma(t + sd + 1.0) + LogGamma(t + 1.0);
-      };
-      if (log_q(remaining) >= log_u) {
-        next = 0;
-      } else {
-        // Smallest s in [1, remaining] with log Q(s) < log u.
-        uint64_t lo = 0;
-        uint64_t hi = remaining;  // log_q(hi) < log_u established above
-        while (lo < hi) {
-          uint64_t mid = lo + (hi - lo) / 2;
-          if (log_q(mid) < log_u) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
-        }
-        next = lo;
-      }
-    }
-
-    if (next == 0) {
-      // No replacement in the rest of the run.
-      stream_size_ += remaining;
-      return;
-    }
-    stream_size_ += next;  // next-1 skipped elements + the replacing one
-    remaining -= next;
-    int64_t slot = rng_->UniformInt(0, static_cast<int64_t>(capacity_) - 1);
-    sample_[static_cast<size_t>(slot)] = value;
-  }
+ReservoirSampler::Position ReservoirSampler::NextSkip() {
+  // Each element's priority falls below w_ with probability w_, so the
+  // gap before the next one is geometric: P(skip >= s) = (1 - w_)^s.
+  // Gaps past 2^127 (w_ below ~1e-37) mean no further replacement.
+  const double skip =
+      std::floor(std::log(OpenUniform()) / std::log1p(-w_));
+  return skip < 0x1p127 ? static_cast<Position>(skip) : ~Position{0};
 }
 
 void ReservoirSampler::Reset() {
   sample_.clear();
   stream_size_ = 0;
+  w_ = 0.0;
+  skip_ = 0;
 }
 
 }  // namespace sitstats

@@ -8,6 +8,8 @@
 #include <map>
 #include <numeric>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "sampling/bernoulli.h"
 
@@ -219,6 +221,168 @@ TEST(ReservoirTest, AddBatchMatchesPerElementAddExactly) {
     for (double v : stream) single.Add(v);
     EXPECT_EQ(batched.stream_size(), single.stream_size());
     EXPECT_EQ(batched.sample(), single.sample()) << "batch " << batch_size;
+  }
+}
+
+// Sum of (observed - expected)^2 / expected over the cells.
+double ChiSquare(const std::vector<double>& observed,
+                 const std::vector<double>& expected) {
+  double chi2 = 0.0;
+  for (size_t i = 0; i < observed.size(); ++i) {
+    const double d = observed[i] - expected[i];
+    chi2 += d * d / expected[i];
+  }
+  return chi2;
+}
+
+// Upper acceptance bound for a chi-square statistic on `dof` degrees of
+// freedom: six standard deviations above its mean.
+double ChiSquareBound(size_t dof) {
+  return static_cast<double>(dof) + 6.0 * std::sqrt(2.0 * dof);
+}
+
+TEST(ReservoirTest, StreamPastTwoToThe64KeepsProportions) {
+  // Wrap regression: 2^64 copies of 0.0, then 2^62 copies of 1.0. The
+  // stream position passes 2^64, so a 64-bit counter would wrap to ~2^62
+  // and the second run would overwrite nearly every slot. Correct share
+  // of 1.0: 2^62 / (2^64 + 2^62) = 0.2.
+  Rng rng(67);
+  const size_t kCap = 1'000;
+  ReservoirSampler sampler(kCap, &rng);
+  sampler.AddRepeated(0.0, uint64_t{1} << 63);
+  sampler.AddRepeated(0.0, uint64_t{1} << 63);
+  sampler.AddRepeated(1.0, uint64_t{1} << 62);
+  ASSERT_EQ(sampler.sample().size(), kCap);
+  double ones = 0;
+  for (double v : sampler.sample()) {
+    if (v == 1.0) ones += 1;
+  }
+  const double sigma = std::sqrt(kCap * 0.2 * 0.8);
+  EXPECT_NEAR(ones, kCap * 0.2, 6.0 * sigma);
+}
+
+TEST(ReservoirTest, StreamSizeSaturatesPastTwoToThe64) {
+  Rng rng(71);
+  ReservoirSampler sampler(10, &rng);
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  sampler.AddRepeated(1.0, kMax);
+  EXPECT_EQ(sampler.stream_size(), kMax);
+  sampler.AddRepeated(2.0, 1);
+  EXPECT_EQ(sampler.stream_size(), kMax);
+  sampler.AddRepeated(3.0, kMax);
+  EXPECT_EQ(sampler.stream_size(), kMax);
+  EXPECT_EQ(sampler.sample().size(), 10u);
+  sampler.Reset();
+  EXPECT_EQ(sampler.stream_size(), 0u);
+  sampler.AddRepeated(4.0, 3);
+  EXPECT_EQ(sampler.stream_size(), 3u);
+}
+
+TEST(ReservoirTest, InclusionUniformAcrossAlgorithmLHandoff) {
+  // Single-element stream of 1000 positions into a size-10 reservoir:
+  // Algorithm R covers positions 1..80, Algorithm L the rest. Every
+  // position must be kept with probability 10 / 1000 on both sides of
+  // the switch.
+  const size_t kStream = 1'000;
+  const size_t kCap = 10;
+  const int kTrials = 20'000;
+  const size_t kSwitch = ReservoirSampler::kAlgorithmRFactor * kCap;
+  ASSERT_LT(kSwitch, kStream);
+  std::vector<double> included(kStream, 0.0);
+  Rng rng(73);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    ReservoirSampler sampler(kCap, &rng);
+    for (size_t i = 0; i < kStream; ++i) {
+      sampler.Add(static_cast<double>(i));
+    }
+    for (double v : sampler.sample()) included[static_cast<size_t>(v)] += 1;
+  }
+  const double expected = static_cast<double>(kTrials) * kCap / kStream;
+  auto chi2_over = [&](size_t begin, size_t end) {
+    return ChiSquare(
+        std::vector<double>(included.begin() + begin, included.begin() + end),
+        std::vector<double>(end - begin, expected));
+  };
+  EXPECT_LT(chi2_over(0, kStream), ChiSquareBound(kStream - 1));
+  EXPECT_LT(chi2_over(0, kSwitch), ChiSquareBound(kSwitch - 1));
+  EXPECT_LT(chi2_over(kSwitch, kStream), ChiSquareBound(kStream - kSwitch - 1));
+  // A biased handoff shifts the mean inclusion rate of the Algorithm R
+  // positions against the rest (every trial keeps exactly kCap, so the
+  // two means move together). Band: six standard deviations.
+  double before_switch = 0;
+  for (size_t i = 0; i < kSwitch; ++i) before_switch += included[i];
+  EXPECT_NEAR(before_switch / kSwitch / kTrials, 0.01, 0.0005);
+}
+
+TEST(ReservoirTest, RunsOfCopiesIncludedInProportionToLength) {
+  // 1000 runs of 1..20 copies through AddRepeated: each sample slot holds
+  // run i with probability len_i / total, across the R-to-L switch (which
+  // falls inside the first few runs) and the carried skips after it.
+  const size_t kRuns = 1'000;
+  const size_t kCap = 10;
+  const int kTrials = 20'000;
+  std::vector<uint64_t> lengths(kRuns);
+  double total = 0;
+  for (size_t i = 0; i < kRuns; ++i) {
+    lengths[i] = 1 + (i * 7) % 20;
+    total += static_cast<double>(lengths[i]);
+  }
+  std::vector<double> observed(kRuns, 0.0);
+  Rng rng(79);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    ReservoirSampler sampler(kCap, &rng);
+    for (size_t i = 0; i < kRuns; ++i) {
+      sampler.AddRepeated(static_cast<double>(i), lengths[i]);
+    }
+    for (double v : sampler.sample()) observed[static_cast<size_t>(v)] += 1;
+  }
+  std::vector<double> expected(kRuns);
+  for (size_t i = 0; i < kRuns; ++i) {
+    expected[i] = static_cast<double>(kTrials) * kCap *
+                  static_cast<double>(lengths[i]) / total;
+  }
+  EXPECT_LT(ChiSquare(observed, expected), ChiSquareBound(kRuns - 1));
+}
+
+TEST(ReservoirTest, AddRepeatedAddAndAddBatchAgreeDrawForDraw) {
+  // A stream of runs crossing the R-to-L switch and then many carried
+  // skips, offered three ways with the same seed: the samples and the
+  // rng state afterwards must be identical.
+  const size_t kCap = 16;
+  std::vector<std::pair<double, uint64_t>> runs;
+  Rng lengths(83);
+  for (int i = 0; i < 3'000; ++i) {
+    runs.emplace_back(i * 0.25, static_cast<uint64_t>(lengths.UniformInt(
+                                    i % 3 == 0 ? 0 : 1, 40)));
+  }
+  std::vector<double> expanded;
+  for (const auto& [value, count] : runs) {
+    expanded.insert(expanded.end(), count, value);
+  }
+  ASSERT_GT(expanded.size(), 20 * ReservoirSampler::kAlgorithmRFactor * kCap);
+
+  Rng rng_run(89);
+  ReservoirSampler via_run(kCap, &rng_run);
+  for (const auto& [value, count] : runs) via_run.AddRepeated(value, count);
+
+  Rng rng_add(89);
+  ReservoirSampler via_add(kCap, &rng_add);
+  for (double v : expanded) via_add.Add(v);
+  EXPECT_EQ(via_run.stream_size(), via_add.stream_size());
+  EXPECT_EQ(via_run.sample(), via_add.sample());
+  const uint64_t next_draw = rng_add.NextUint64();
+  EXPECT_EQ(rng_run.NextUint64(), next_draw);
+
+  for (size_t batch_size : {1ul, 13ul, 128ul, 4'096ul}) {
+    Rng rng_batch(89);
+    ReservoirSampler via_batch(kCap, &rng_batch);
+    for (size_t begin = 0; begin < expanded.size(); begin += batch_size) {
+      const size_t n = std::min(batch_size, expanded.size() - begin);
+      via_batch.AddBatch(std::span<const double>(expanded.data() + begin, n));
+    }
+    EXPECT_EQ(via_batch.stream_size(), via_add.stream_size());
+    EXPECT_EQ(via_batch.sample(), via_add.sample()) << "batch " << batch_size;
+    EXPECT_EQ(rng_batch.NextUint64(), next_draw);
   }
 }
 

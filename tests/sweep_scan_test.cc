@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/logging.h"
 
 namespace sitstats {
@@ -167,6 +169,37 @@ TEST(SweepScanTest, FractionalMultiplicityIsUnbiasedUnderSampling) {
   }
   // About half the 100 distinct `a` values survive rounding on average.
   EXPECT_NEAR(total_sampled / kTrials, 50.0, 5.0);
+}
+
+TEST(SweepScanTest, StreamPastTwoToThe64SamplesWholeScan) {
+  // 10k rows of multiplicity 1e16: a 1e20-copy stream, over five times
+  // 2^64. Rows in the first half carry a = 0, the second half a = 1, so
+  // a sample of the whole stream holds about half of each; a sampler that
+  // lost count past 2^64 would keep only rows after its last wrap.
+  Catalog catalog;
+  Schema schema;
+  schema.AddColumn("y", ValueType::kInt64);
+  schema.AddColumn("a", ValueType::kInt64);
+  Table* table = catalog.CreateTable("Big", schema).ValueOrDie();
+  const int kRows = 10'000;
+  for (int i = 0; i < kRows; ++i) {
+    SITSTATS_CHECK_OK(table->AppendRow(
+        {Value(int64_t{i}), Value(int64_t{i < kRows / 2 ? 0 : 1})}));
+  }
+  Rng rng(8);
+  ConstantOracle oracle(1e16);
+  SweepScanSpec spec;
+  spec.table = "Big";
+  spec.joins.push_back(SweepJoin{{"y"}, &oracle});
+  spec.targets.push_back(SweepTarget{"a", {0}, false});
+  auto outputs = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
+  const SweepOutput& out = outputs[0];
+  EXPECT_GT(out.estimated_cardinality, 0x1p64);
+  EXPECT_DOUBLE_EQ(out.estimated_cardinality, 1e20);
+  // Capacity max(100, 0.1 * 10k) = 1000; six-sigma binomial band.
+  const double share =
+      out.histogram.EstimateRange(1.0, 1.0) / out.histogram.TotalFrequency();
+  EXPECT_NEAR(share, 0.5, 6.0 * std::sqrt(0.25 / 1'000.0));
 }
 
 TEST(SweepScanTest, UnknownTableOrColumn) {
